@@ -105,12 +105,6 @@ impl CoreError {
 
 impl std::error::Error for CoreError {}
 
-impl From<cqa_num::par::Cancelled> for CoreError {
-    fn from(_: cqa_num::par::Cancelled) -> CoreError {
-        CoreError::Cancelled
-    }
-}
-
 impl From<cqa_constraints::FmBudgetExceeded> for CoreError {
     fn from(e: cqa_constraints::FmBudgetExceeded) -> CoreError {
         CoreError::BudgetExceeded { what: "fm atoms", used: e.atoms, limit: e.limit }

@@ -23,15 +23,16 @@ use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use crate::catalog::Catalog;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::ops;
-use crate::par::{ExecOptions, ExecStats};
+use crate::par::{CounterDef, ExecOptions, ExecStats, COUNTERS};
 use crate::plan::Plan;
 use crate::relation::HRelation;
 use crate::safety;
 use crate::schema::{AttrDef, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use cqa_num::par::Cancelled;
 
 /// Evaluates a plan against a catalog with default [`ExecOptions`]
 /// (after a safety check).
@@ -54,27 +55,58 @@ pub fn execute_opts(
     opts: &ExecOptions,
     stats: &ExecStats,
 ) -> Result<HRelation> {
+    run(plan, catalog, opts, stats, false).map(|(rel, _)| rel)
+}
+
+/// [`execute_opts`], also producing a per-node trace (row counts,
+/// self-times, filter hit rates, index accesses) — the data behind the
+/// `EXPLAIN ANALYZE` of the CQA layer.
+///
+/// The traced evaluator **is** the plain evaluator with a trace sink
+/// attached: physical choices (index-assisted selection included),
+/// results, and the counters absorbed into `stats` are identical.
+pub fn execute_traced_opts(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    stats: &ExecStats,
+) -> Result<(HRelation, TraceNode)> {
+    let (rel, trace) = run(plan, catalog, opts, stats, true)?;
+    Ok((rel, trace.expect("traced eval pushes exactly one root")))
+}
+
+/// The one run body behind both entry points: safety check, arm the
+/// governor, evaluate, then absorb the run's counters into `stats` and
+/// report the run through [`QueryTelemetry::finish`].
+fn run(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    stats: &ExecStats,
+    traced: bool,
+) -> Result<(HRelation, Option<TraceNode>)> {
     safety::check(plan)?;
     opts.governor.arm();
     let tel = QueryTelemetry::start(plan);
     let run = ExecStats::new();
-    match eval(plan, catalog, opts, &run, None) {
-        Ok(out) => {
-            let out = out.into_owned();
+    let mut roots: Vec<TraceNode> = Vec::new();
+    match eval(plan, catalog, opts, &run, traced.then_some(&mut roots)) {
+        Ok(rel) => {
+            let rel = rel.into_owned();
             stats.absorb(&run);
-            finish_run(&run, opts, out.len());
-            tel.finish_ok(&run, opts, out.len() as u64, None);
-            Ok(out)
+            let trace = roots.pop();
+            tel.finish(&run, opts, Ok((rel.len() as u64, trace.as_ref())));
+            Ok((rel, trace))
         }
         Err(e) => {
-            tel.finish_err(&run, opts, &e);
+            tel.finish(&run, opts, Err(&e));
             Err(e)
         }
     }
 }
 
 /// Per-node evaluation statistics, mirroring the plan tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceNode {
     /// Operator label, including the physical choice (e.g. `Scan R`,
     /// `Select`, `Select (index [x, y])`, `Join`).
@@ -109,19 +141,21 @@ impl TraceNode {
         stats: &ExecStats,
         children: Vec<TraceNode>,
     ) -> TraceNode {
-        TraceNode {
-            label,
-            rows,
-            elapsed,
-            filter_checked: stats.checked(),
-            filter_rejected: stats.rejected(),
-            fm_peak_atoms: stats.fm_peak(),
-            fm_calls: stats.fm_calls(),
-            index_accesses: stats.index_accesses(),
-            pairs_enumerated: stats.pairs_enumerated(),
-            dnf_conjunctions: stats.dnf_conjunctions(),
-            children: children,
+        let mut node = TraceNode { label, rows, elapsed, children, ..TraceNode::default() };
+        for (def, value) in stats.rows() {
+            if let Some(field) = &def.node {
+                *(field.get_mut)(&mut node) = value;
+            }
         }
+        node
+    }
+
+    /// This node's counters in table order: each row with its key and
+    /// value.
+    fn counters(&self) -> impl Iterator<Item = (&'static CounterDef, &'static str, u64)> + '_ {
+        COUNTERS
+            .iter()
+            .filter_map(move |def| def.node.as_ref().map(|f| (def, f.key, (f.get)(self))))
     }
 
     /// Rows flowing *into* this node: what its candidate pool was. For a
@@ -142,78 +176,32 @@ impl TraceNode {
             .then(|| self.rows as f64 / input.max(1) as f64)
     }
 
-    fn render(&self, out: &mut String, depth: usize) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{}{}  [{} row(s), {:.2?}",
-            "  ".repeat(depth),
-            self.label,
-            self.rows,
-            self.elapsed
-        );
-        if self.pairs_enumerated > 0 {
-            let _ = write!(out, ", {} pair(s) enumerated", self.pairs_enumerated);
-        }
-        if self.filter_checked > 0 {
-            let _ = write!(
-                out,
-                ", bbox filter {}/{} rejected",
-                self.filter_rejected, self.filter_checked
-            );
-        }
-        if self.index_accesses > 0 {
-            let _ = write!(out, ", {} index node(s)", self.index_accesses);
-        }
-        if self.fm_peak_atoms > 0 {
-            let _ = write!(out, ", fm peak {} atom(s)", self.fm_peak_atoms);
-        }
-        let _ = writeln!(out, "]");
-        for c in &self.children {
-            c.render(out, depth + 1);
-        }
-    }
-
-    fn render_analyze(&self, out: &mut String, depth: usize) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{}{}  [{} row(s), {:.2?}",
-            "  ".repeat(depth),
-            self.label,
-            self.rows,
-            self.elapsed
-        );
+    fn fmt_tree(&self, f: &mut std::fmt::Formatter<'_>, depth: usize) -> std::fmt::Result {
+        let indent = "  ".repeat(depth);
+        write!(f, "{}{}  [{} row(s), {:.2?}", indent, self.label, self.rows, self.elapsed)?;
         if let Some(sel) = self.selectivity() {
-            let _ = write!(out, ", selectivity {:.1}%", sel * 100.0);
+            write!(f, ", selectivity {:.1}%", sel * 100.0)?;
         }
         if self.pairs_enumerated > 0 {
-            let _ = write!(out, ", {} pair(s) enumerated", self.pairs_enumerated);
+            write!(f, ", {} pair(s) enumerated", self.pairs_enumerated)?;
         }
         if self.filter_checked > 0 {
-            let _ = write!(
-                out,
-                ", bbox filter {}/{} rejected",
-                self.filter_rejected, self.filter_checked
-            );
+            write!(f, ", bbox filter {}/{} rejected", self.filter_rejected, self.filter_checked)?;
         }
         if self.index_accesses > 0 {
-            let _ = write!(out, ", {} index node(s) accessed", self.index_accesses);
+            write!(f, ", {} index node(s) accessed", self.index_accesses)?;
         }
         if self.fm_calls > 0 {
-            let _ = write!(
-                out,
-                ", fm {} call(s) peak {} atom(s)",
-                self.fm_calls, self.fm_peak_atoms
-            );
+            write!(f, ", fm {} call(s) peak {} atom(s)", self.fm_calls, self.fm_peak_atoms)?;
         }
         if self.dnf_conjunctions > 0 {
-            let _ = write!(out, ", dnf {} conjunction(s) built", self.dnf_conjunctions);
+            write!(f, ", dnf {} conjunction(s) built", self.dnf_conjunctions)?;
         }
-        let _ = writeln!(out, "]");
+        writeln!(f, "]")?;
         for c in &self.children {
-            c.render_analyze(out, depth + 1);
+            c.fmt_tree(f, depth + 1)?;
         }
+        Ok(())
     }
 
     /// Canonical identity of the whole trace, excluding wall time — two
@@ -227,20 +215,11 @@ impl TraceNode {
 
     fn identity_into(&self, out: &mut String, depth: usize) {
         use std::fmt::Write as _;
-        let _ = writeln!(
-            out,
-            "{}{} rows={} filter={}/{} fm={}@{} index={} pairs={} dnf={}",
-            "  ".repeat(depth),
-            self.label,
-            self.rows,
-            self.filter_rejected,
-            self.filter_checked,
-            self.fm_calls,
-            self.fm_peak_atoms,
-            self.index_accesses,
-            self.pairs_enumerated,
-            self.dnf_conjunctions,
-        );
+        let _ = write!(out, "{}{} rows={}", "  ".repeat(depth), self.label, self.rows);
+        for (_, key, value) in self.counters() {
+            let _ = write!(out, " {}={}", key, value);
+        }
+        out.push('\n');
         for c in &self.children {
             c.identity_into(out, depth + 1);
         }
@@ -249,22 +228,12 @@ impl TraceNode {
     /// Machine-readable span tree (the `\trace json` payload).
     pub fn to_json(&self) -> cqa_obs::json::Json {
         use cqa_obs::json::Json;
+        let counters = self.counters().map(|(_, k, v)| (k.to_string(), Json::from_u64(v)));
         Json::Obj(vec![
             ("label".into(), Json::str(self.label.clone())),
             ("rows".into(), Json::from_u64(self.rows as u64)),
             ("elapsed_ns".into(), Json::from_u64(self.elapsed.as_nanos() as u64)),
-            (
-                "counters".into(),
-                Json::Obj(vec![
-                    ("filter_checked".into(), Json::from_u64(self.filter_checked)),
-                    ("filter_rejected".into(), Json::from_u64(self.filter_rejected)),
-                    ("fm_peak_atoms".into(), Json::from_u64(self.fm_peak_atoms)),
-                    ("fm_calls".into(), Json::from_u64(self.fm_calls)),
-                    ("index_accesses".into(), Json::from_u64(self.index_accesses)),
-                    ("pairs_enumerated".into(), Json::from_u64(self.pairs_enumerated)),
-                    ("dnf_conjunctions".into(), Json::from_u64(self.dnf_conjunctions)),
-                ]),
-            ),
+            ("counters".into(), Json::Obj(counters.collect())),
             ("children".into(), Json::Arr(self.children.iter().map(|c| c.to_json()).collect())),
         ])
     }
@@ -278,21 +247,20 @@ impl TraceNode {
     }
 }
 
+/// The annotated plan tree: per-node wall time, row counts, selectivity,
+/// filter hit rates, index node accesses, FM and DNF work.
 impl std::fmt::Display for TraceNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.render(&mut out, 0);
-        f.write_str(&out)
+        self.fmt_tree(f, 0)
     }
 }
 
 /// Renders a completed trace as `EXPLAIN ANALYZE` text: the annotated
-/// plan tree (per-node wall time, row counts, filter selectivity, index
-/// node accesses) followed by run totals and governor budget headroom.
+/// plan tree (the trace's `Display` form) followed by run totals and
+/// governor budget headroom.
 pub fn render_explain_analyze(trace: &TraceNode, opts: &ExecOptions) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    trace.render_analyze(&mut out, 0);
+    let mut out = trace.to_string();
     let total: Duration = trace.fold(Duration::ZERO, &|acc, n| acc + n.elapsed);
     let fm_peak = trace.fold(0u64, &|acc, n| acc.max(n.fm_peak_atoms));
     let fm_calls = trace.fold(0u64, &|acc, n| acc + n.fm_calls);
@@ -314,73 +282,10 @@ pub fn render_explain_analyze(trace: &TraceNode, opts: &ExecOptions) -> String {
     out
 }
 
-/// Evaluates a plan, also producing a per-node trace (row counts,
-/// self-times, filter hit rates, index accesses) — the data behind the
-/// `EXPLAIN ANALYZE` of the CQA layer. Uses default [`ExecOptions`].
-///
-/// The traced evaluator **is** the plain evaluator with a trace sink
-/// attached: physical choices (index-assisted selection included) and
-/// results are identical to [`execute`].
-pub fn execute_traced(plan: &Plan, catalog: &Catalog) -> Result<(HRelation, TraceNode)> {
-    execute_traced_opts(plan, catalog, &ExecOptions::default(), &ExecStats::new())
-}
-
-/// [`execute_traced`] with explicit execution options; counters also
-/// accumulate into `stats` (absorbed at run end, like [`execute_opts`]).
-pub fn execute_traced_opts(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-    stats: &ExecStats,
-) -> Result<(HRelation, TraceNode)> {
-    safety::check(plan)?;
-    opts.governor.arm();
-    let tel = QueryTelemetry::start(plan);
-    let run = ExecStats::new();
-    let mut roots: Vec<TraceNode> = Vec::new();
-    match eval(plan, catalog, opts, &run, Some(&mut roots)) {
-        Ok(rel) => {
-            let rel = rel.into_owned();
-            stats.absorb(&run);
-            finish_run(&run, opts, rel.len());
-            let trace = roots.pop().expect("traced eval pushes exactly one root");
-            tel.finish_ok(&run, opts, rel.len() as u64, Some(&trace));
-            Ok((rel, trace))
-        }
-        Err(e) => {
-            tel.finish_err(&run, opts, &e);
-            Err(e)
-        }
-    }
-}
-
-/// Run-end bookkeeping: mirrors the run's counters into the global
-/// `cqa-obs` registry (when enabled), plus run count, output rows, and
-/// governor checks.
-fn finish_run(run: &ExecStats, opts: &ExecOptions, rows: usize) {
-    run.flush_global();
-    if !cqa_obs::metrics_enabled() {
-        return;
-    }
-    struct RunMetrics {
-        runs: &'static cqa_obs::Counter,
-        rows_out: &'static cqa_obs::Counter,
-        governor_checks: &'static cqa_obs::Counter,
-    }
-    static M: std::sync::OnceLock<RunMetrics> = std::sync::OnceLock::new();
-    let m = M.get_or_init(|| RunMetrics {
-        runs: cqa_obs::counter("exec.runs"),
-        rows_out: cqa_obs::counter("exec.rows_out"),
-        governor_checks: cqa_obs::counter("governor.checks"),
-    });
-    m.runs.inc();
-    m.rows_out.add(rows as u64);
-    m.governor_checks.add(opts.governor.checks());
-}
-
-/// Per-query telemetry: latency into the `exec.query.latency_us` timing
-/// histogram, `query_start`/`query_finish` event-log records, and
-/// flight-recorder context + abort dumps.
+/// Per-query telemetry: the run's counters into the global registry,
+/// latency into the `exec.query.latency_us` timing histogram,
+/// `query_start`/`query_finish` event-log records, and flight-recorder
+/// context + abort dumps.
 ///
 /// Everything is gated on the global switches ([`cqa_obs::metrics_enabled`]
 /// as the master, plus the event log's and flight recorder's own installed
@@ -396,11 +301,6 @@ struct QueryTelemetry {
     hash: u64,
     logging: bool,
     flight: bool,
-}
-
-fn latency_histogram() -> &'static cqa_obs::Histogram {
-    static H: std::sync::OnceLock<&'static cqa_obs::Histogram> = std::sync::OnceLock::new();
-    H.get_or_init(|| cqa_obs::timing_histogram("exec.query.latency_us"))
 }
 
 impl QueryTelemetry {
@@ -431,50 +331,65 @@ impl QueryTelemetry {
         tel
     }
 
-    fn finish_ok(&self, run: &ExecStats, opts: &ExecOptions, rows: u64, trace: Option<&TraceNode>) {
-        let latency_us = self.t0.elapsed().as_micros() as u64;
-        if cqa_obs::metrics_enabled() {
-            latency_histogram().record(latency_us);
-        }
-        if self.logging {
-            self.emit_finish("ok", latency_us, run, opts, rows, trace);
-        }
-    }
-
-    fn finish_err(&self, run: &ExecStats, opts: &ExecOptions, e: &crate::error::CoreError) {
-        let latency_us = self.t0.elapsed().as_micros() as u64;
-        if cqa_obs::metrics_enabled() {
-            latency_histogram().record(latency_us);
-        }
-        if self.flight && e.is_governor_abort() {
-            cqa_obs::flight::record_abort(&format!("governor abort: {}", e));
-        }
-        if self.logging {
-            self.emit_finish(e.outcome(), latency_us, run, opts, 0, None);
-        }
-    }
-
-    fn emit_finish(
+    /// Everything reported at run end. A successful run (`Ok` carries its
+    /// output rows and trace) mirrors its counters into the global
+    /// registry, plus run count, output rows and governor checks. Every
+    /// run then records its latency and its `query_finish` event; a
+    /// governor abort also dumps the flight recorder.
+    fn finish(
         &self,
-        outcome: &str,
-        latency_us: u64,
         run: &ExecStats,
         opts: &ExecOptions,
-        rows: u64,
-        trace: Option<&TraceNode>,
+        outcome: std::result::Result<(u64, Option<&TraceNode>), &CoreError>,
     ) {
         use cqa_obs::json::Json;
+        if let Ok((rows, _)) = outcome {
+            run.flush_global();
+            if cqa_obs::metrics_enabled() {
+                struct RunMetrics {
+                    runs: &'static cqa_obs::Counter,
+                    rows_out: &'static cqa_obs::Counter,
+                    governor_checks: &'static cqa_obs::Counter,
+                }
+                static M: std::sync::OnceLock<RunMetrics> = std::sync::OnceLock::new();
+                let m = M.get_or_init(|| RunMetrics {
+                    runs: cqa_obs::counter("exec.runs"),
+                    rows_out: cqa_obs::counter("exec.rows_out"),
+                    governor_checks: cqa_obs::counter("governor.checks"),
+                });
+                m.runs.inc();
+                m.rows_out.add(rows);
+                m.governor_checks.add(opts.governor.checks());
+            }
+        }
+        let latency_us = self.t0.elapsed().as_micros() as u64;
+        if cqa_obs::metrics_enabled() {
+            static H: std::sync::OnceLock<&'static cqa_obs::Histogram> = std::sync::OnceLock::new();
+            H.get_or_init(|| cqa_obs::timing_histogram("exec.query.latency_us")).record(latency_us);
+        }
+        if let Err(e) = outcome {
+            if self.flight && e.is_governor_abort() {
+                cqa_obs::flight::record_abort(&format!("governor abort: {}", e));
+            }
+        }
+        if !self.logging {
+            return;
+        }
+        let (outcome, (rows, trace)) = match outcome {
+            Ok(done) => ("ok", done),
+            Err(e) => (e.outcome(), (0, None)),
+        };
         let lim = |l: Option<u64>| l.map(Json::from_u64).unwrap_or(Json::Null);
         let b = &opts.governor.budgets;
-        let governor = Json::Obj(vec![
-            ("checks".into(), Json::from_u64(opts.governor.checks())),
-            ("fm_peak_atoms".into(), Json::from_u64(run.fm_peak())),
-            ("max_fm_atoms".into(), lim(b.max_fm_atoms)),
-            ("dnf_conjunctions".into(), Json::from_u64(run.dnf_conjunctions())),
-            ("max_dnf_conjunctions".into(), lim(b.max_dnf_conjunctions)),
-            ("output_tuples".into(), Json::from_u64(rows)),
-            ("max_output_tuples".into(), lim(b.max_output_tuples)),
-        ]);
+        let mut governor = vec![("checks".into(), Json::from_u64(opts.governor.checks()))];
+        for (def, value) in run.rows() {
+            if let (Some(field), Some((max_key, limit))) = (&def.node, def.budget) {
+                governor.push((field.key.into(), Json::from_u64(value)));
+                governor.push((max_key.into(), lim(limit(b))));
+            }
+        }
+        governor.push(("output_tuples".into(), Json::from_u64(rows)));
+        governor.push(("max_output_tuples".into(), lim(b.max_output_tuples)));
         let mut fields = vec![
             ("event".into(), Json::str("query_finish")),
             ("seq".into(), Json::from_u64(self.seq)),
@@ -483,28 +398,21 @@ impl QueryTelemetry {
             ("outcome".into(), Json::str(outcome)),
             ("latency_us".into(), Json::from_u64(latency_us)),
             ("rows".into(), Json::from_u64(rows)),
-            ("governor".into(), governor),
+            ("governor".into(), Json::Obj(governor)),
         ];
         if let Some(t) = trace {
-            let mut nodes = Vec::new();
-            flatten_nodes(t, &mut nodes);
+            // Pre-order, one entry per node: label, rows, selectivity.
+            let nodes = t.fold(Vec::new(), &|mut nodes, n| {
+                nodes.push(Json::Obj(vec![
+                    ("label".into(), Json::str(n.label.clone())),
+                    ("rows".into(), Json::from_u64(n.rows as u64)),
+                    ("selectivity".into(), n.selectivity().map(Json::Num).unwrap_or(Json::Null)),
+                ]));
+                nodes
+            });
             fields.push(("nodes".into(), Json::Arr(nodes)));
         }
         cqa_obs::eventlog::emit(&Json::Obj(fields));
-    }
-}
-
-/// Pre-order flattening of a trace into per-node event-log entries
-/// (label, rows, selectivity).
-fn flatten_nodes(t: &TraceNode, out: &mut Vec<cqa_obs::json::Json>) {
-    use cqa_obs::json::Json;
-    out.push(Json::Obj(vec![
-        ("label".into(), Json::str(t.label.clone())),
-        ("rows".into(), Json::from_u64(t.rows as u64)),
-        ("selectivity".into(), t.selectivity().map(Json::Num).unwrap_or(Json::Null)),
-    ]));
-    for c in &t.children {
-        flatten_nodes(c, out);
     }
 }
 
@@ -539,18 +447,12 @@ fn eval<'a>(
     stats.absorb(&node_stats);
     let node = TraceNode::from_stats(label, rows, elapsed, &node_stats, children);
     if cqa_obs::spans_enabled() {
+        let counters = node.counters().filter(|(def, _, _)| def.span).map(|(_, k, v)| (k, v));
         cqa_obs::record_span(
             "exec.node",
             node.label.clone(),
             node.elapsed.as_nanos() as u64,
-            vec![
-                ("rows", node.rows as u64),
-                ("filter_checked", node.filter_checked),
-                ("filter_rejected", node.filter_rejected),
-                ("fm_calls", node.fm_calls),
-                ("index_accesses", node.index_accesses),
-                ("pairs_enumerated", node.pairs_enumerated),
-            ],
+            std::iter::once(("rows", node.rows as u64)).chain(counters).collect(),
         );
     }
     parent.push(node);
@@ -569,113 +471,101 @@ fn eval_node<'a>(
     child_stats: &ExecStats,
     mut children_out: Option<&mut Vec<TraceNode>>,
 ) -> Result<(String, Duration, Cow<'a, HRelation>)> {
-    match plan {
-        Plan::Scan(name) => {
+    // Index-assisted selection over a base relation: decided here, before
+    // the trace mode is consulted, so traced and untraced runs make the
+    // same physical choice.
+    if let Plan::Select { input, selection } = plan {
+        if let Plan::Scan(name) = input.as_ref() {
             let t0 = Instant::now();
-            let rel = Cow::Borrowed(catalog.get(name)?);
-            Ok((format!("Scan {}", name), t0.elapsed(), rel))
-        }
-        Plan::SpatialScan(name) => {
-            let t0 = Instant::now();
-            let rel = Cow::Owned(crate::spatial_bridge::spatial_to_hrelation(
-                catalog.get_spatial(name)?,
-            )?);
-            Ok((format!("SpatialScan {}", name), t0.elapsed(), rel))
-        }
-        Plan::Select { input, selection } => {
-            // Index-assisted selection over a base relation: decided here,
-            // before the trace mode is consulted, so traced and untraced
-            // runs make the same physical choice.
-            if let Plan::Scan(name) = input.as_ref() {
-                let t0 = Instant::now();
-                if let Some((result, via)) =
-                    try_index_select(catalog, name, selection, opts, op_stats)?
-                {
-                    let elapsed = t0.elapsed();
-                    if let Some(out) = children_out.as_deref_mut() {
-                        // The scan child is never materialized on this
-                        // path; synthesize its node so the trace still
-                        // mirrors the logical plan.
-                        let base = catalog.get(name)?;
-                        out.push(TraceNode::from_stats(
-                            format!("Scan {}", name),
-                            base.len(),
-                            Duration::ZERO,
-                            &ExecStats::new(),
-                            Vec::new(),
-                        ));
-                    }
-                    return Ok((format!("Select (index [{}])", via), elapsed, Cow::Owned(result)));
+            let indexed = try_index_select(catalog, name, selection, opts, op_stats)?;
+            if let Some((result, via)) = indexed {
+                let elapsed = t0.elapsed();
+                if let Some(out) = children_out {
+                    // The scan child is never materialized on this path;
+                    // synthesize its node so the trace still mirrors the
+                    // logical plan.
+                    out.push(TraceNode {
+                        label: format!("Scan {}", name),
+                        rows: catalog.get(name)?.len(),
+                        ..TraceNode::default()
+                    });
                 }
+                return Ok((format!("Select (index [{}])", via), elapsed, Cow::Owned(result)));
             }
-            let rel = eval(input, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let t0 = Instant::now();
-            let out = ops::select_opts(&rel, selection, opts, op_stats)?;
-            Ok(("Select".to_string(), t0.elapsed(), Cow::Owned(out)))
         }
-        Plan::Project { input, attrs } => {
-            let rel = eval(input, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let t0 = Instant::now();
-            let out = ops::project_opts(&rel, attrs, opts, op_stats)?;
-            Ok((format!("Project on {}", attrs.join(", ")), t0.elapsed(), Cow::Owned(out)))
+    }
+    // Children first, in plan order; their time is their own.
+    let inputs: Vec<&Plan> = match plan {
+        Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Rename { input, .. } => {
+            vec![input]
         }
-        Plan::Join { left, right } => {
-            let l = eval(left, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let r = eval(right, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let t0 = Instant::now();
-            let out = ops::join_opts(&l, &r, opts, op_stats)?;
-            Ok(("Join".to_string(), t0.elapsed(), Cow::Owned(out)))
+        Plan::Join { left, right }
+        | Plan::Union { left, right }
+        | Plan::Difference { left, right } => vec![left, right],
+        _ => Vec::new(),
+    };
+    let mut rels = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        rels.push(eval(input, catalog, opts, child_stats, children_out.as_deref_mut())?);
+    }
+    let t0 = Instant::now();
+    let (label, out) = match plan {
+        Plan::Scan(name) => (format!("Scan {}", name), Cow::Borrowed(catalog.get(name)?)),
+        Plan::SpatialScan(name) => {
+            let rel = crate::spatial_bridge::spatial_to_hrelation(catalog.get_spatial(name)?)?;
+            (format!("SpatialScan {}", name), Cow::Owned(rel))
         }
-        Plan::Union { left, right } => {
-            let l = eval(left, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let r = eval(right, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let t0 = Instant::now();
-            let out = ops::union(&l, &r)?;
-            Ok(("Union".to_string(), t0.elapsed(), Cow::Owned(out)))
+        Plan::Select { selection, .. } => {
+            let out = ops::select_opts(&rels[0], selection, opts, op_stats)?;
+            ("Select".to_string(), Cow::Owned(out))
         }
-        Plan::Difference { left, right } => {
-            let l = eval(left, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let r = eval(right, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let t0 = Instant::now();
-            let out = ops::difference_opts(&l, &r, opts, op_stats)?;
-            Ok(("Difference".to_string(), t0.elapsed(), Cow::Owned(out)))
+        Plan::Project { attrs, .. } => {
+            let out = ops::project_opts(&rels[0], attrs, opts, op_stats)?;
+            (format!("Project on {}", attrs.join(", ")), Cow::Owned(out))
         }
-        Plan::Rename { input, from, to } => {
-            let rel = eval(input, catalog, opts, child_stats, children_out.as_deref_mut())?;
-            let t0 = Instant::now();
-            let out = ops::rename(&rel, from, to)?;
-            Ok((format!("Rename {} -> {}", from, to), t0.elapsed(), Cow::Owned(out)))
+        Plan::Join { .. } => {
+            ("Join".to_string(), Cow::Owned(ops::join_opts(&rels[0], &rels[1], opts, op_stats)?))
+        }
+        Plan::Union { .. } => ("Union".to_string(), Cow::Owned(ops::union(&rels[0], &rels[1])?)),
+        Plan::Difference { .. } => {
+            let out = ops::difference_opts(&rels[0], &rels[1], opts, op_stats)?;
+            ("Difference".to_string(), Cow::Owned(out))
+        }
+        Plan::Rename { from, to, .. } => {
+            (format!("Rename {} -> {}", from, to), Cow::Owned(ops::rename(&rels[0], from, to)?))
         }
         Plan::BufferJoin { left, right, distance } => {
-            let t0 = Instant::now();
-            let l = catalog.get_spatial(left)?;
-            let r = catalog.get_spatial(right)?;
-            let (pairs, _accesses) =
-                cqa_spatial::ops::buffer_join_par(l, r, distance, opts.effective_threads());
-            Ok((
-                format!("BufferJoin {} and {}", left, right),
-                t0.elapsed(),
-                Cow::Owned(id_pairs_relation(pairs)),
-            ))
+            let g = &opts.governor;
+            // The R*-tree accesses stay out of `index_accesses`, which
+            // counts index-assisted selection only.
+            let (pairs, _accesses) = cqa_spatial::ops::buffer_join(
+                catalog.get_spatial(left)?,
+                catalog.get_spatial(right)?,
+                distance,
+                opts.effective_threads(),
+                Some(g.token()),
+                || g.check().map_err(|_| Cancelled),
+            )
+            .map_err(|_| g.interrupt_error())?;
+            (format!("BufferJoin {} and {}", left, right), Cow::Owned(id_pairs_relation(pairs)))
         }
         Plan::KNearest { left, right, k } => {
-            let t0 = Instant::now();
-            let l = catalog.get_spatial(left)?;
-            let r = catalog.get_spatial(right)?;
-            let out = id_pairs_relation(cqa_spatial::ops::k_nearest_par(
-                l,
-                r,
+            let g = &opts.governor;
+            let pairs = cqa_spatial::ops::k_nearest(
+                catalog.get_spatial(left)?,
+                catalog.get_spatial(right)?,
                 *k,
                 opts.effective_threads(),
-            ));
-            Ok((
-                format!("KNearest {} and {} k {}", left, right, k),
-                t0.elapsed(),
-                Cow::Owned(out),
-            ))
+                Some(g.token()),
+                || g.check().map_err(|_| Cancelled),
+            )
+            .map_err(|_| g.interrupt_error())?;
+            let out = Cow::Owned(id_pairs_relation(pairs));
+            (format!("KNearest {} and {} k {}", left, right, k), out)
         }
         Plan::Distance { .. } => unreachable!("rejected by the safety check"),
-    }
+    };
+    Ok((label, t0.elapsed(), out))
 }
 
 /// Index-assisted selection over a base relation (the "through the use of
@@ -901,7 +791,8 @@ mod tests {
             .select(Selection::all().cmp_int("x", CmpOp::Ge, 5))
             .project(&["id"]);
         let plain = execute(&plan, &cat).unwrap();
-        let (traced, trace) = execute_traced(&plan, &cat).unwrap();
+        let (traced, trace) =
+            execute_traced_opts(&plan, &cat, &ExecOptions::default(), &ExecStats::new()).unwrap();
         assert_eq!(plain, traced);
         // Trace shape mirrors the plan: Project -> Select -> Scan.
         assert!(trace.label.starts_with("Project"));
@@ -919,7 +810,8 @@ mod tests {
         assert!(trace.fm_calls >= 1, "project runs FM per tuple");
         // Safety still enforced.
         let bad = Plan::Distance { left: "Probes".into(), right: "Cities".into() };
-        assert!(execute_traced(&bad, &cat).is_err());
+        let opts = ExecOptions::default();
+        assert!(execute_traced_opts(&bad, &cat, &opts, &ExecStats::new()).is_err());
     }
 
     #[test]

@@ -219,8 +219,8 @@ impl Governor {
     ) -> cqa_constraints::FmBudget<'a> {
         cqa_constraints::FmBudget {
             max_atoms: self.budgets.max_fm_atoms,
-            peak: Some(stats.fm_peak_cell()),
-            calls: Some(stats.fm_calls_cell()),
+            peak: Some(stats.cell(crate::par::Counter::FmPeakAtoms)),
+            calls: Some(stats.cell(crate::par::Counter::FmCalls)),
         }
     }
 }

@@ -12,7 +12,7 @@
 //! SQL's `EXCEPT`).
 
 use crate::error::Result;
-use crate::par::{try_flat_map_chunks, ExecOptions, ExecStats};
+use crate::par::{run_chunks, Counter, ExecOptions, ExecStats};
 use crate::relation::HRelation;
 use crate::tuple::Tuple;
 use cqa_constraints::{Dnf, QuickBox};
@@ -54,9 +54,10 @@ pub fn difference_opts(
 
     let governor = &opts.governor;
     let produced: Vec<Result<Tuple>> =
-        try_flat_map_chunks(left.tuples(), opts.effective_threads(), Some(governor.token()), |lt| {
+        run_chunks(left.tuples(), opts.effective_threads(), Some(governor.token()), |lt, out| {
             if let Err(e) = governor.check() {
-                return vec![Err(e)];
+                out.push(Err(e));
+                return;
             }
             // All right tuples whose relational part is identical.
             let matching: Vec<&(&Tuple, QuickBox)> =
@@ -75,7 +76,8 @@ pub fn difference_opts(
                 matching.iter().map(|(rt, _)| *rt).collect()
             };
             if kept.is_empty() {
-                return vec![Ok(lt.clone())];
+                out.push(Ok(lt.clone()));
+                return;
             }
             let minuend = Dnf::from_conjunction(lt.constraint().clone());
             let subtrahend =
@@ -86,16 +88,20 @@ pub fn difference_opts(
             let remainder = match minuend.minus_counted(
                 &subtrahend,
                 governor.budgets.max_dnf_conjunctions,
-                Some(stats.dnf_cell()),
+                Some(stats.cell(Counter::DnfConjunctions)),
             ) {
                 Ok(r) => r.normalize(),
-                Err(e) => return vec![Err(e.into())],
+                Err(e) => {
+                    out.push(Err(e.into()));
+                    return;
+                }
             };
-            remainder
-                .conjunctions()
-                .iter()
-                .map(|conj| Ok(Tuple::from_parts(lt.values().to_vec(), conj.clone())))
-                .collect()
+            out.extend(
+                remainder
+                    .conjunctions()
+                    .iter()
+                    .map(|conj| Ok(Tuple::from_parts(lt.values().to_vec(), conj.clone()))),
+            );
         })
         .map_err(|_| governor.interrupt_error())?;
 

@@ -9,7 +9,7 @@
 //! (`t`, `x`, `y`) this way.
 
 use crate::error::Result;
-use crate::par::{try_flat_map_chunks, ExecOptions, ExecStats};
+use crate::par::{run_chunks, ExecOptions, ExecStats};
 use crate::relation::{remap_vars, HRelation};
 use crate::schema::AttrKind;
 use crate::tuple::Tuple;
@@ -19,10 +19,7 @@ use std::collections::HashMap;
 
 /// The tuple's values at `positions`, or `None` if any is null (narrow
 /// semantics: a null shared attribute never joins).
-fn shared_key<'t>(
-    t: &'t Tuple,
-    positions: impl Iterator<Item = usize>,
-) -> Option<Vec<&'t Value>> {
+fn shared_key(t: &Tuple, positions: impl Iterator<Item = usize>) -> Option<Vec<&Value>> {
     positions.map(|i| t.value(i)).collect()
 }
 
@@ -107,9 +104,10 @@ pub fn join_opts(
 
     let governor = &opts.governor;
     let produced: Vec<Result<Tuple>> =
-        try_flat_map_chunks(left.tuples(), opts.effective_threads(), Some(governor.token()), |lt| {
+        run_chunks(left.tuples(), opts.effective_threads(), Some(governor.token()), |lt, out| {
             if let Err(e) = governor.check() {
-                return vec![Err(e)];
+                out.push(Err(e));
+                return;
             }
             let candidates: &[usize] = match &buckets {
                 None => &all_rights,
@@ -127,7 +125,6 @@ pub fn join_opts(
             } else {
                 None
             };
-            let mut out = Vec::new();
             for &ri in candidates {
                 let (rt, rconj, rbox) = &rights[ri];
                 if let Some(lb) = &left_box {
@@ -146,7 +143,7 @@ pub fn join_opts(
                     Ok(true) => {}
                     Err(e) => {
                         out.push(Err(e.into()));
-                        return out;
+                        return;
                     }
                 }
                 // Values: left slots as-is, right non-shared appended.
@@ -159,7 +156,6 @@ pub fn join_opts(
                 }
                 out.push(Ok(Tuple::from_parts(values, conj)));
             }
-            out
         })
         .map_err(|_| governor.interrupt_error())?;
 

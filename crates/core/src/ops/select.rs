@@ -17,7 +17,7 @@
 //! and `y` is constraint.
 
 use crate::error::{CoreError, Result};
-use crate::par::{try_map_chunks, ExecOptions, ExecStats};
+use crate::par::{run_chunks, ExecOptions, ExecStats};
 use crate::relation::HRelation;
 use crate::schema::{AttrKind, AttrType, Schema};
 use crate::tuple::Tuple;
@@ -235,40 +235,41 @@ pub fn select_opts(
     let schema = rel.schema();
     let arity = schema.arity();
     let governor = &opts.governor;
-    let produced: Vec<Result<Option<Tuple>>> =
-        try_map_chunks(rel.tuples(), opts.effective_threads(), Some(governor.token()), |tuple| {
-            governor.check()?;
-            let mut residual: Conjunction = tuple.constraint().clone();
-            for pred in selection.predicates() {
-                match apply_predicate(schema, tuple, pred)? {
-                    Applied::Reject => return Ok(None),
-                    Applied::Accept => {}
-                    Applied::Residual(atoms) => {
-                        for a in atoms {
-                            residual.add(a);
-                        }
+    let keep = |tuple: &Tuple| -> Result<Option<Tuple>> {
+        governor.check()?;
+        let mut residual: Conjunction = tuple.constraint().clone();
+        for pred in selection.predicates() {
+            match apply_predicate(schema, tuple, pred)? {
+                Applied::Reject => return Ok(None),
+                Applied::Accept => {}
+                Applied::Residual(atoms) => {
+                    for a in atoms {
+                        residual.add(a);
                     }
                 }
             }
-            if opts.bbox_filter {
-                let rejected = residual.quick_box(arity).is_known_empty();
-                stats.record(rejected);
-                if rejected {
-                    return Ok(None);
-                }
+        }
+        if opts.bbox_filter {
+            let rejected = residual.quick_box(arity).is_known_empty();
+            stats.record(rejected);
+            if rejected {
+                return Ok(None);
             }
-            if residual.is_satisfiable_budgeted(governor.fm_budget(stats))? {
-                Ok(Some(Tuple::from_parts(tuple.values().to_vec(), residual)))
-            } else {
-                Ok(None)
-            }
+        }
+        if residual.is_satisfiable_budgeted(governor.fm_budget(stats))? {
+            Ok(Some(Tuple::from_parts(tuple.values().to_vec(), residual)))
+        } else {
+            Ok(None)
+        }
+    };
+    let produced: Vec<Result<Tuple>> =
+        run_chunks(rel.tuples(), opts.effective_threads(), Some(governor.token()), |tuple, out| {
+            out.extend(keep(tuple).transpose())
         })
         .map_err(|_| governor.interrupt_error())?;
     let mut out = HRelation::new(schema.clone());
-    for row in produced {
-        if let Some(t) = row? {
-            out.insert(t);
-        }
+    for t in produced {
+        out.insert(t?);
     }
     Ok(out)
 }

@@ -17,13 +17,11 @@
 //! [`ExecStats`] counts filter consultations and rejections with atomics,
 //! so the same counters work unchanged under the parallel executor.
 
-use crate::governor::Governor;
+use crate::exec::TraceNode;
+use crate::governor::{Budgets, Governor};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use cqa_num::par::{
-    effective_threads, flat_map_chunks, map_chunks, try_flat_map_chunks, try_map_chunks,
-    CancelToken, Cancelled,
-};
+pub(crate) use cqa_num::par::run_chunks;
 
 /// Evaluation knobs, threaded from the shell/driver down to operators.
 #[derive(Debug, Clone)]
@@ -59,9 +57,128 @@ impl ExecOptions {
 
     /// The resolved worker count (`0` → hardware parallelism).
     pub fn effective_threads(&self) -> usize {
-        effective_threads(self.threads)
+        cqa_num::par::effective_threads(self.threads)
     }
 }
+
+/// One evaluation counter of [`ExecStats`] (documented on its read
+/// accessor); its row in [`COUNTERS`] is `COUNTERS[counter as usize]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Counter {
+    FilterChecked,
+    FilterRejected,
+    FmPeakAtoms,
+    FmCalls,
+    IndexProbes,
+    IndexAccesses,
+    PairsEnumerated,
+    DnfConjunctions,
+}
+
+const N_COUNTERS: usize = 8;
+
+/// How a counter combines across workers, plan nodes and runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Combine {
+    Sum,
+    Max,
+}
+
+/// The [`TraceNode`] field that keeps a counter. The field's name is the
+/// counter's key in traces, `\trace json`, `exec.node` spans and the
+/// event log.
+pub(crate) struct NodeField {
+    pub key: &'static str,
+    pub get: fn(&TraceNode) -> u64,
+    pub get_mut: fn(&mut TraceNode) -> &mut u64,
+}
+
+macro_rules! node_field {
+    ($f:ident) => {
+        Some(NodeField { key: stringify!($f), get: |n| n.$f, get_mut: |n| &mut n.$f })
+    };
+}
+
+/// Everything that names or combines one counter.
+pub(crate) struct CounterDef {
+    /// Name in the global `cqa-obs` registry.
+    pub registry: &'static str,
+    pub combine: Combine,
+    /// `None` for counters a trace does not keep.
+    pub node: Option<NodeField>,
+    /// Whether `exec.node` spans carry the counter.
+    pub span: bool,
+    /// The governor budget that caps the counter: its event-log key and
+    /// its limit.
+    pub budget: Option<(&'static str, BudgetLimit)>,
+}
+
+type BudgetLimit = fn(&Budgets) -> Option<u64>;
+
+/// The one table of evaluation counters, in [`Counter`] order. Every
+/// consumer — absorb, the registry flush, trace nodes, their JSON and
+/// identity, spans, and the event log — iterates it.
+pub(crate) static COUNTERS: [CounterDef; N_COUNTERS] = {
+    use Combine::{Max, Sum};
+    [
+        CounterDef {
+            registry: "exec.filter.checked",
+            combine: Sum,
+            node: node_field!(filter_checked),
+            span: true,
+            budget: None,
+        },
+        CounterDef {
+            registry: "exec.filter.rejected",
+            combine: Sum,
+            node: node_field!(filter_rejected),
+            span: true,
+            budget: None,
+        },
+        CounterDef {
+            registry: "exec.fm.peak_atoms",
+            combine: Max,
+            node: node_field!(fm_peak_atoms),
+            span: false,
+            budget: Some(("max_fm_atoms", |b| b.max_fm_atoms)),
+        },
+        CounterDef {
+            registry: "exec.fm.calls",
+            combine: Sum,
+            node: node_field!(fm_calls),
+            span: true,
+            budget: None,
+        },
+        CounterDef {
+            registry: "exec.index.probes",
+            combine: Sum,
+            node: None,
+            span: false,
+            budget: None,
+        },
+        CounterDef {
+            registry: "exec.index.accesses",
+            combine: Sum,
+            node: node_field!(index_accesses),
+            span: true,
+            budget: None,
+        },
+        CounterDef {
+            registry: "exec.join.pairs_enumerated",
+            combine: Sum,
+            node: node_field!(pairs_enumerated),
+            span: true,
+            budget: None,
+        },
+        CounterDef {
+            registry: "exec.dnf.conjunctions",
+            combine: Sum,
+            node: node_field!(dnf_conjunctions),
+            span: false,
+            budget: Some(("max_dnf_conjunctions", |b| b.max_dnf_conjunctions)),
+        },
+    ]
+};
 
 /// Per-run (or per-plan-node, in traces) evaluation counters — the
 /// execution layer's staging buffer for the global `cqa-obs` metrics
@@ -75,49 +192,24 @@ impl ExecOptions {
 /// atomics already cost.
 #[derive(Debug, Default)]
 pub struct ExecStats {
-    filter_checked: AtomicU64,
-    filter_rejected: AtomicU64,
-    /// Peak intermediate atom count seen by any Fourier–Motzkin
-    /// elimination (a gauge, combined by max rather than sum).
-    fm_peak_atoms: AtomicU64,
-    /// Fourier–Motzkin elimination runs (satisfiability checks and
-    /// projections both land here).
-    fm_calls: AtomicU64,
-    /// Index-assisted selection probes.
-    index_probes: AtomicU64,
-    /// R*-tree nodes visited by those probes.
-    index_accesses: AtomicU64,
-    /// Join candidate pairs enumerated (after hash pre-bucketing, before
-    /// the bounding-box filter).
-    pairs_enumerated: AtomicU64,
-    /// Conjunctions constructed by difference's DNF negation expansion.
-    dnf_conjunctions: AtomicU64,
+    cells: [AtomicU64; N_COUNTERS],
 }
 
-/// Cached handles into the global registry (one registration per
-/// process, lock-free recording afterwards).
-struct GlobalExecMetrics {
-    filter_checked: &'static cqa_obs::Counter,
-    filter_rejected: &'static cqa_obs::Counter,
-    fm_peak_atoms: &'static cqa_obs::Gauge,
-    fm_calls: &'static cqa_obs::Counter,
-    index_probes: &'static cqa_obs::Counter,
-    index_accesses: &'static cqa_obs::Counter,
-    pairs_enumerated: &'static cqa_obs::Counter,
-    dnf_conjunctions: &'static cqa_obs::Counter,
+/// A registry handle for one counter row.
+enum Handle {
+    Sum(&'static cqa_obs::Counter),
+    Max(&'static cqa_obs::Gauge),
 }
 
-fn global_exec_metrics() -> &'static GlobalExecMetrics {
-    static G: std::sync::OnceLock<GlobalExecMetrics> = std::sync::OnceLock::new();
-    G.get_or_init(|| GlobalExecMetrics {
-        filter_checked: cqa_obs::counter("exec.filter.checked"),
-        filter_rejected: cqa_obs::counter("exec.filter.rejected"),
-        fm_peak_atoms: cqa_obs::gauge("exec.fm.peak_atoms"),
-        fm_calls: cqa_obs::counter("exec.fm.calls"),
-        index_probes: cqa_obs::counter("exec.index.probes"),
-        index_accesses: cqa_obs::counter("exec.index.accesses"),
-        pairs_enumerated: cqa_obs::counter("exec.join.pairs_enumerated"),
-        dnf_conjunctions: cqa_obs::counter("exec.dnf.conjunctions"),
+/// Cached handles into the global registry, in [`COUNTERS`] order (one
+/// registration per process, lock-free recording afterwards).
+fn global_handles() -> &'static [Handle; N_COUNTERS] {
+    static G: std::sync::OnceLock<[Handle; N_COUNTERS]> = std::sync::OnceLock::new();
+    G.get_or_init(|| {
+        std::array::from_fn(|i| match COUNTERS[i].combine {
+            Combine::Sum => Handle::Sum(cqa_obs::counter(COUNTERS[i].registry)),
+            Combine::Max => Handle::Max(cqa_obs::gauge(COUNTERS[i].registry)),
+        })
     })
 }
 
@@ -127,91 +219,97 @@ impl ExecStats {
         ExecStats::default()
     }
 
+    /// The atomic behind `c`.
+    pub(crate) fn cell(&self, c: Counter) -> &AtomicU64 {
+        &self.cells[c as usize]
+    }
+
+    /// The current value of `c`.
+    pub(crate) fn get(&self, c: Counter) -> u64 {
+        self.cell(c).load(Ordering::Relaxed)
+    }
+
+    /// Each row of [`COUNTERS`] with this set's value for it.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static CounterDef, u64)> + '_ {
+        COUNTERS.iter().zip(&self.cells).map(|(def, cell)| (def, cell.load(Ordering::Relaxed)))
+    }
+
+    fn add(&self, c: Counter, n: u64) {
+        self.cell(c).fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Records one filter consultation and whether it rejected.
     pub fn record(&self, rejected: bool) {
-        self.filter_checked.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::FilterChecked, 1);
         if rejected {
-            self.filter_rejected.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::FilterRejected, 1);
         }
     }
 
     /// Records one index-assisted selection probe that visited
     /// `accesses` R*-tree nodes.
     pub fn record_index_probe(&self, accesses: u64) {
-        self.index_probes.fetch_add(1, Ordering::Relaxed);
-        self.index_accesses.fetch_add(accesses, Ordering::Relaxed);
+        self.add(Counter::IndexProbes, 1);
+        self.add(Counter::IndexAccesses, accesses);
     }
 
     /// Records `n` join candidate pairs enumerated.
     pub fn record_pairs(&self, n: u64) {
-        self.pairs_enumerated.fetch_add(n, Ordering::Relaxed);
+        self.add(Counter::PairsEnumerated, n);
     }
 
     /// How many candidates consulted the filter.
     pub fn checked(&self) -> u64 {
-        self.filter_checked.load(Ordering::Relaxed)
+        self.get(Counter::FilterChecked)
     }
 
     /// How many candidates the filter rejected (exact check skipped).
     pub fn rejected(&self) -> u64 {
-        self.filter_rejected.load(Ordering::Relaxed)
+        self.get(Counter::FilterRejected)
     }
 
-    /// Peak intermediate Fourier–Motzkin atom count observed so far.
+    /// Peak intermediate Fourier–Motzkin atom count observed so far (a
+    /// gauge: combined by max, not sum).
     pub fn fm_peak(&self) -> u64 {
-        self.fm_peak_atoms.load(Ordering::Relaxed)
+        self.get(Counter::FmPeakAtoms)
     }
 
-    /// Fourier–Motzkin elimination runs so far.
+    /// Fourier–Motzkin elimination runs so far (satisfiability checks and
+    /// projections both count).
     pub fn fm_calls(&self) -> u64 {
-        self.fm_calls.load(Ordering::Relaxed)
+        self.get(Counter::FmCalls)
     }
 
     /// Index-assisted selection probes so far.
     pub fn index_probes(&self) -> u64 {
-        self.index_probes.load(Ordering::Relaxed)
+        self.get(Counter::IndexProbes)
     }
 
     /// R*-tree nodes visited by index-assisted selections so far.
     pub fn index_accesses(&self) -> u64 {
-        self.index_accesses.load(Ordering::Relaxed)
+        self.get(Counter::IndexAccesses)
     }
 
-    /// Join candidate pairs enumerated so far.
+    /// Join candidate pairs enumerated so far (after hash pre-bucketing,
+    /// before the bounding-box filter).
     pub fn pairs_enumerated(&self) -> u64 {
-        self.pairs_enumerated.load(Ordering::Relaxed)
+        self.get(Counter::PairsEnumerated)
     }
 
     /// Conjunctions built by DNF negation expansion so far.
     pub fn dnf_conjunctions(&self) -> u64 {
-        self.dnf_conjunctions.load(Ordering::Relaxed)
-    }
-
-    /// The cell [`cqa_constraints::FmBudget`] records its peak into.
-    pub(crate) fn fm_peak_cell(&self) -> &AtomicU64 {
-        &self.fm_peak_atoms
-    }
-
-    /// The cell [`cqa_constraints::FmBudget`] counts elimination runs in.
-    pub(crate) fn fm_calls_cell(&self) -> &AtomicU64 {
-        &self.fm_calls
-    }
-
-    /// The cell `Dnf::minus_counted` counts built conjunctions in.
-    pub(crate) fn dnf_cell(&self) -> &AtomicU64 {
-        &self.dnf_conjunctions
+        self.get(Counter::DnfConjunctions)
     }
 
     /// Folds another counter set into this one (counters add, gauges max).
     pub fn absorb(&self, other: &ExecStats) {
-        self.filter_checked.fetch_add(other.checked(), Ordering::Relaxed);
-        self.filter_rejected.fetch_add(other.rejected(), Ordering::Relaxed);
-        self.fm_peak_atoms.fetch_max(other.fm_peak(), Ordering::Relaxed);
-        self.fm_calls.fetch_add(other.fm_calls(), Ordering::Relaxed);
-        self.index_probes.fetch_add(other.index_probes(), Ordering::Relaxed);
-        self.index_accesses.fetch_add(other.index_accesses(), Ordering::Relaxed);
-        self.pairs_enumerated.fetch_add(other.pairs_enumerated(), Ordering::Relaxed);
-        self.dnf_conjunctions.fetch_add(other.dnf_conjunctions(), Ordering::Relaxed);
+        for ((def, mine), theirs) in COUNTERS.iter().zip(&self.cells).zip(&other.cells) {
+            let v = theirs.load(Ordering::Relaxed);
+            match def.combine {
+                Combine::Sum => mine.fetch_add(v, Ordering::Relaxed),
+                Combine::Max => mine.fetch_max(v, Ordering::Relaxed),
+            };
+        }
     }
 
     /// Mirrors this run's totals into the global `cqa-obs` registry
@@ -222,15 +320,13 @@ impl ExecStats {
         if !cqa_obs::metrics_enabled() {
             return;
         }
-        let g = global_exec_metrics();
-        g.filter_checked.add(self.checked());
-        g.filter_rejected.add(self.rejected());
-        g.fm_peak_atoms.record_max(self.fm_peak());
-        g.fm_calls.add(self.fm_calls());
-        g.index_probes.add(self.index_probes());
-        g.index_accesses.add(self.index_accesses());
-        g.pairs_enumerated.add(self.pairs_enumerated());
-        g.dnf_conjunctions.add(self.dnf_conjunctions());
+        for (cell, handle) in self.cells.iter().zip(global_handles()) {
+            let v = cell.load(Ordering::Relaxed);
+            match handle {
+                Handle::Sum(c) => c.add(v),
+                Handle::Max(g) => g.record_max(v),
+            }
+        }
     }
 }
 
@@ -266,11 +362,30 @@ mod tests {
     }
 
     #[test]
+    fn table_rows_follow_the_counter_enum() {
+        use Counter::*;
+        let rows = [
+            (FilterChecked, "exec.filter.checked"),
+            (FilterRejected, "exec.filter.rejected"),
+            (FmPeakAtoms, "exec.fm.peak_atoms"),
+            (FmCalls, "exec.fm.calls"),
+            (IndexProbes, "exec.index.probes"),
+            (IndexAccesses, "exec.index.accesses"),
+            (PairsEnumerated, "exec.join.pairs_enumerated"),
+            (DnfConjunctions, "exec.dnf.conjunctions"),
+        ];
+        for (c, registry) in rows {
+            assert_eq!(COUNTERS[c as usize].registry, registry);
+        }
+        assert_eq!(COUNTERS[FmPeakAtoms as usize].combine, Combine::Max);
+    }
+
+    #[test]
     fn fm_peak_is_a_gauge() {
         let s = ExecStats::new();
-        s.fm_peak_cell().fetch_max(7, Ordering::Relaxed);
+        s.cell(Counter::FmPeakAtoms).fetch_max(7, Ordering::Relaxed);
         let t = ExecStats::new();
-        t.fm_peak_cell().fetch_max(3, Ordering::Relaxed);
+        t.cell(Counter::FmPeakAtoms).fetch_max(3, Ordering::Relaxed);
         t.absorb(&s);
         assert_eq!(t.fm_peak(), 7, "absorb takes the max, not the sum");
     }

@@ -49,13 +49,14 @@ pub fn str_load_threads<const D: usize, T: Clone + PartialEq + Send + Sync>(
     entries.sort_by(|a, b| a.0.center()[0].partial_cmp(&b.0.center()[0]).unwrap());
     let per_slab = entries.len().div_ceil(slab).max(1);
     let slabs: Vec<&[(Rect<D>, T)]> = entries.chunks(per_slab).collect();
-    let ordered = cqa_num::par::flat_map_chunks(&slabs, threads, |chunk| {
+    let ordered = cqa_num::par::run_chunks(&slabs, threads, None, |chunk, out| {
         let mut chunk: Vec<(Rect<D>, T)> = chunk.to_vec();
         if D > 1 {
             chunk.sort_by(|a, b| a.0.center()[1].partial_cmp(&b.0.center()[1]).unwrap());
         }
-        chunk
-    });
+        out.extend(chunk);
+    })
+    .expect("a run without a token is never cancelled");
     for (r, t) in ordered {
         tree.insert(r, t);
     }

@@ -6,11 +6,11 @@
 //! each statement (optimizing its plan first), registers the result under
 //! the statement's target name, and returns the final result.
 
-use crate::ast::{Script, Statement};
+use crate::ast::{QueryExpr, Script, Statement};
 use crate::lex::LangError;
 use crate::lower::lower_expr;
 use crate::parse::parse_script;
-use cqa_core::{exec, optimizer, Catalog, ExecOptions, ExecStats, HRelation};
+use cqa_core::{exec, optimizer, Catalog, ExecOptions, ExecStats, HRelation, Plan};
 
 /// Executes scripts against a catalog, accumulating intermediate results.
 pub struct ScriptRunner {
@@ -86,18 +86,23 @@ impl ScriptRunner {
         let Statement::Query { target, expr, line } = stmt else {
             return Err(LangError::new(1, 1, "trace expects a query statement"));
         };
-        let plan = lower_expr(expr, *line)?;
-        let plan = if self.optimize {
-            optimizer::optimize(&plan, &self.catalog)
-                .map_err(|e| LangError::new(*line, 1, e.to_string()))?
-        } else {
-            plan
-        };
+        let plan = self.plan(expr, *line)?;
         let (result, trace) =
             exec::execute_traced_opts(&plan, &self.catalog, &self.exec_options, &self.stats)
                 .map_err(|e| LangError::new(*line, 1, e.to_string()))?;
         self.catalog.register(target.clone(), result.clone());
         Ok((result, trace))
+    }
+
+    /// Lowers a query expression and, when enabled, optimizes it against
+    /// the current catalog.
+    fn plan(&self, expr: &QueryExpr, line: usize) -> Result<Plan, LangError> {
+        let plan = lower_expr(expr, line)?;
+        if !self.optimize {
+            return Ok(plan);
+        }
+        optimizer::optimize(&plan, &self.catalog)
+            .map_err(|e| LangError::new(line, 1, e.to_string()))
     }
 
     /// Runs a parsed script.
@@ -106,13 +111,7 @@ impl ScriptRunner {
         for stmt in &script.statements {
             match stmt {
                 Statement::Query { target, expr, line } => {
-                    let plan = lower_expr(expr, *line)?;
-                    let plan = if self.optimize {
-                        optimizer::optimize(&plan, &self.catalog)
-                            .map_err(|e| LangError::new(*line, 1, e.to_string()))?
-                    } else {
-                        plan
-                    };
+                    let plan = self.plan(expr, *line)?;
                     // The `?` below is the all-or-nothing anchor: on any
                     // execution error (including governor cancellation) the
                     // target is never registered, so the catalog is exactly

@@ -90,39 +90,16 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Applies `f` to every item and concatenates the produced vectors in
-/// input order, using up to `threads` worker threads.
+/// The chunked executor: calls `f` on every item, in contiguous chunks
+/// spread over up to `threads` worker threads, and returns everything the
+/// calls pushed, concatenated in input order.
 ///
-/// Deterministic: the result is identical for every `threads` value.
-pub fn flat_map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Vec<R> + Sync,
-{
-    // Without a token `run_chunks` cannot report `Cancelled`.
-    try_flat_map_chunks(items, threads, None, f).unwrap_or_default()
-}
-
-/// Applies `f` to every item, preserving input order (one output per
-/// input), using up to `threads` worker threads.
-pub fn map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_map_chunks(items, threads, None, f).unwrap_or_default()
-}
-
-/// [`flat_map_chunks`] with an optional cancellation token.
-///
-/// Workers poll `token` between chunks and stop pulling work once it is
-/// raised; if the token is raised at any point before the run completes
+/// Deterministic: equal inputs give equal results for every `threads`
+/// value. Workers poll `token` between chunks and stop pulling work once
+/// it is raised; if it is raised at any point before the run completes
 /// its final chunk, every partial slot is discarded and `Err(Cancelled)`
-/// is returned. Equal inputs produce equal results for every thread
-/// count — cancelled runs produce nothing at all.
-pub fn try_flat_map_chunks<T, R, F>(
+/// is returned — a cancelled run produces nothing at all.
+pub fn run_chunks<T, R, F>(
     items: &[T],
     threads: usize,
     token: Option<&CancelToken>,
@@ -131,48 +108,14 @@ pub fn try_flat_map_chunks<T, R, F>(
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> Vec<R> + Sync,
-{
-    run_chunks(items, threads, token, |chunk, out| {
-        for item in chunk {
-            out.extend(f(item));
-        }
-    })
-}
-
-/// [`map_chunks`] with an optional cancellation token (see
-/// [`try_flat_map_chunks`] for the cancellation contract).
-pub fn try_map_chunks<T, R, F>(
-    items: &[T],
-    threads: usize,
-    token: Option<&CancelToken>,
-    f: F,
-) -> Result<Vec<R>, Cancelled>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_chunks(items, threads, token, |chunk, out| {
-        for item in chunk {
-            out.push(f(item));
-        }
-    })
-}
-
-/// Shared driver: contiguous chunks, an atomic queue, ordered collection.
-fn run_chunks<T, R, F>(
-    items: &[T],
-    threads: usize,
-    token: Option<&CancelToken>,
-    body: F,
-) -> Result<Vec<R>, Cancelled>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
+    F: Fn(&T, &mut Vec<R>) + Sync,
 {
     let tripped = || token.is_some_and(|t| t.is_cancelled());
+    let body = |chunk: &[T], out: &mut Vec<R>| {
+        for item in chunk {
+            f(item, out);
+        }
+    };
     let n = items.len();
     if n == 0 {
         return if tripped() { Err(Cancelled) } else { Ok(Vec::new()) };
@@ -180,17 +123,13 @@ where
     let threads = threads.max(1).min(n);
     let chunk_size = n.div_ceil((threads * CHUNKS_PER_THREAD).min(n));
     if threads == 1 || n < MIN_PAR_ITEMS {
+        // Same polling granularity as the parallel path: between chunks.
         let mut out = Vec::new();
-        if token.is_some() {
-            // Same polling granularity as the parallel path: between chunks.
-            for chunk in items.chunks(chunk_size) {
-                if tripped() {
-                    return Err(Cancelled);
-                }
-                body(chunk, &mut out);
+        for chunk in items.chunks(chunk_size) {
+            if tripped() {
+                return Err(Cancelled);
             }
-        } else {
-            body(items, &mut out);
+            body(chunk, &mut out);
         }
         return if tripped() { Err(Cancelled) } else { Ok(out) };
     }
@@ -235,14 +174,19 @@ where
 mod tests {
     use super::*;
 
+    /// One output per input, no token.
+    fn map(items: &[u32], threads: usize, f: impl Fn(u32) -> u32 + Sync) -> Vec<u32> {
+        run_chunks(items, threads, None, |&x, out| out.push(f(x))).unwrap()
+    }
+
     #[test]
     fn matches_serial_for_every_thread_count() {
         let items: Vec<u64> = (0..1000).collect();
         let serial: Vec<u64> =
             items.iter().flat_map(|&x| vec![x * 3, x * 3 + 1]).collect();
         for threads in [1, 2, 3, 4, 7, 16] {
-            let par = flat_map_chunks(&items, threads, |&x| vec![x * 3, x * 3 + 1]);
-            assert_eq!(par, serial, "threads = {threads}");
+            let par = run_chunks(&items, threads, None, |&x, out| out.extend([x * 3, x * 3 + 1]));
+            assert_eq!(par.unwrap(), serial, "threads = {threads}");
         }
     }
 
@@ -250,26 +194,24 @@ mod tests {
     fn map_preserves_order() {
         let items: Vec<u32> = (0..500).collect();
         for threads in [1, 2, 5, 8] {
-            let out = map_chunks(&items, threads, |&x| x + 1);
+            let out = map(&items, threads, |x| x + 1);
             assert_eq!(out, (1..=500).collect::<Vec<_>>(), "threads = {threads}");
         }
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(flat_map_chunks(&empty, 8, |&x| vec![x]).is_empty());
-        assert_eq!(map_chunks(&[9u8], 8, |&x| x), vec![9]);
+        assert!(map(&[], 8, |x| x).is_empty());
+        assert_eq!(map(&[9], 8, |x| x), vec![9]);
     }
 
     #[test]
     fn uneven_output_sizes_keep_order() {
         // Items emit variable-length runs; order must still be exact.
         let items: Vec<usize> = (0..300).collect();
-        let expect: Vec<usize> =
-            items.iter().flat_map(|&x| std::iter::repeat(x).take(x % 5)).collect();
-        let got = flat_map_chunks(&items, 6, |&x| vec![x; x % 5]);
-        assert_eq!(got, expect);
+        let expect: Vec<usize> = items.iter().flat_map(|&x| vec![x; x % 5]).collect();
+        let got = run_chunks(&items, 6, None, |&x, out| out.extend(vec![x; x % 5]));
+        assert_eq!(got.unwrap(), expect);
     }
 
     #[test]
@@ -284,7 +226,7 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let token = CancelToken::new();
             token.cancel();
-            let got = try_map_chunks(&items, threads, Some(&token), |&x| x);
+            let got = run_chunks(&items, threads, Some(&token), |&x, out| out.push(x));
             assert_eq!(got, Err(Cancelled), "threads = {threads}");
         }
     }
@@ -297,11 +239,11 @@ mod tests {
             let token = CancelToken::new();
             let seen = AtomicU64::new(0);
             // Trip the token from inside the workload after ~32 items.
-            let got = try_map_chunks(&items, threads, Some(&token), |&x| {
+            let got = run_chunks(&items, threads, Some(&token), |&x, out| {
                 if seen.fetch_add(1, Ordering::Relaxed) == 32 {
                     token.cancel();
                 }
-                x
+                out.push(x);
             });
             assert_eq!(got, Err(Cancelled), "threads = {threads}");
         }
@@ -311,8 +253,8 @@ mod tests {
     fn untripped_token_matches_tokenless_run() {
         let items: Vec<u32> = (0..300).collect();
         let token = CancelToken::new();
-        let plain = map_chunks(&items, 4, |&x| x * 2);
-        let tokened = try_map_chunks(&items, 4, Some(&token), |&x| x * 2).unwrap();
+        let plain = map(&items, 4, |x| x * 2);
+        let tokened = run_chunks(&items, 4, Some(&token), |&x, out| out.push(x * 2)).unwrap();
         assert_eq!(plain, tokened);
         assert!(!token.is_cancelled());
         token.cancel();

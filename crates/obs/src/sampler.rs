@@ -88,10 +88,13 @@ impl Sampler {
             stopping: AtomicBool::new(false),
         });
         let worker = Arc::clone(&shared);
+        // The baseline is taken before spawning: a counter bumped right
+        // after `start` returns must show up in a sample, not vanish into
+        // a baseline the worker happened to take late.
+        let mut prev = snapshot();
         let handle = std::thread::Builder::new()
             .name("cqa-sampler".into())
             .spawn(move || {
-                let mut prev = snapshot();
                 let mut seq = 0u64;
                 loop {
                     // Interruptible sleep: Drop flips the flag under the

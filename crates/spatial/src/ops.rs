@@ -13,10 +13,10 @@
 //! cites (\[3\]): bounding-box candidates come from the R\*-tree, and the
 //! refinement compares exact rational squared distances.
 
-use crate::feature::Geometry;
+use crate::feature::{Feature, Geometry};
 use crate::relation::SpatialRelation;
 use cqa_index::Rect;
-use cqa_num::par::map_chunks;
+use cqa_num::par::{effective_threads, run_chunks, CancelToken, Cancelled};
 use cqa_num::Rat;
 
 /// Result rows of a whole-feature operator, keyed by feature ID pairs.
@@ -28,33 +28,49 @@ pub fn min_dist2(a: &Geometry, b: &Geometry) -> Rat {
     a.dist2(b)
 }
 
+/// Runs `f` on every feature of `r1` on the chunked executor, after one
+/// `check` per feature; results come back in feature order, or as
+/// `Err(Cancelled)` with nothing if `check` or `token` trips.
+fn each_feature<R: Send>(
+    r1: &SpatialRelation,
+    threads: usize,
+    token: Option<&CancelToken>,
+    check: impl Fn() -> Result<(), Cancelled> + Sync,
+    f: impl Fn(&Feature) -> R + Sync,
+) -> Result<Vec<R>, Cancelled> {
+    run_chunks(r1.features(), effective_threads(threads), token, |f1, out| {
+        out.push(check().map(|()| f(f1)))
+    })?
+    .into_iter()
+    .collect()
+}
+
 /// `Buffer-Join(R₁, R₂, d)`: all pairs of features within distance `d`.
 ///
 /// Returns `(id₁, id₂)` pairs ordered by the relations' insertion order,
-/// plus the index accesses spent on the filter step. Serial convenience
-/// wrapper over [`buffer_join_par`].
-pub fn buffer_join(r1: &SpatialRelation, r2: &SpatialRelation, d: &Rat) -> (IdPairs, u64) {
-    buffer_join_par(r1, r2, d, 1)
-}
-
-/// [`buffer_join`] with the outer feature loop spread over `threads`
-/// workers (`0` = all hardware threads).
+/// plus the index accesses spent on the filter step.
 ///
-/// Each outer feature's probe-and-refine step is independent; the chunked
-/// executor keeps outputs in outer insertion order, so the pair list is
-/// identical for every thread count. Access counts are summed, which is
-/// order-independent, so the reported total matches the serial run too.
-pub fn buffer_join_par(
+/// Each outer feature's probe-and-refine step is independent, so the outer
+/// loop runs on the chunked executor with `threads` workers (`0` = all
+/// hardware threads); outputs stay in outer insertion order and access
+/// counts are summed, so both are identical for every thread count.
+///
+/// The run is interruptible: `check` runs once per outer feature and
+/// `token` is polled between chunks. If either trips, the whole result is
+/// discarded and `Err(Cancelled)` returned. An ungoverned caller passes
+/// `None` and `|| Ok(())`.
+pub fn buffer_join(
     r1: &SpatialRelation,
     r2: &SpatialRelation,
     d: &Rat,
     threads: usize,
-) -> (IdPairs, u64) {
+    token: Option<&CancelToken>,
+    check: impl Fn() -> Result<(), Cancelled> + Sync,
+) -> Result<(IdPairs, u64), Cancelled> {
     assert!(!d.is_negative(), "buffer distance must be non-negative");
     let d2 = d * d;
     let df = d.to_f64() + 1e-9;
-    let threads = cqa_num::par::effective_threads(threads);
-    let per_feature: Vec<(IdPairs, u64)> = map_chunks(r1.features(), threads, |f1| {
+    let per_feature = each_feature(r1, threads, token, check, |f1| {
         // Filter: expand f1's box by d and probe r2's index.
         let (lo, hi) = f1.geom.bbox_f64();
         let probe = Rect::new([lo[0] - df, lo[1] - df], [hi[0] + df, hi[1] + df]);
@@ -69,36 +85,28 @@ pub fn buffer_join_par(
             }
         }
         (rows, acc)
-    });
-    let mut out = Vec::new();
-    let mut accesses = 0;
-    for (rows, acc) in per_feature {
-        out.extend(rows);
-        accesses += acc;
-    }
-    (out, accesses)
+    })?;
+    let accesses = per_feature.iter().map(|(_, acc)| acc).sum();
+    Ok((per_feature.into_iter().flat_map(|(rows, _)| rows).collect(), accesses))
 }
 
 /// `k-Nearest(R₁, R₂, k)`: for each feature of `R₁`, its `k` nearest
 /// features of `R₂` (exact squared-distance order; ties broken by id).
 ///
-/// When `R₂` has fewer than `k` features, all of them are returned.
-/// Serial convenience wrapper over [`k_nearest_par`].
-pub fn k_nearest(r1: &SpatialRelation, r2: &SpatialRelation, k: usize) -> IdPairs {
-    k_nearest_par(r1, r2, k, 1)
-}
-
-/// [`k_nearest`] with the outer feature loop spread over `threads`
-/// workers (`0` = all hardware threads). Pair order is identical for
-/// every thread count.
-pub fn k_nearest_par(
+/// When `R₂` has fewer than `k` features, all of them are returned. The
+/// search is exhaustive — every pair's exact distance is compared — so it
+/// is also the oracle an index-assisted k-nearest must agree with.
+/// Threads, `token` and `check` work as in [`buffer_join`]; pair order is
+/// identical for every thread count.
+pub fn k_nearest(
     r1: &SpatialRelation,
     r2: &SpatialRelation,
     k: usize,
     threads: usize,
-) -> IdPairs {
-    let threads = cqa_num::par::effective_threads(threads);
-    let per_feature: Vec<IdPairs> = map_chunks(r1.features(), threads, |f1| {
+    token: Option<&CancelToken>,
+    check: impl Fn() -> Result<(), Cancelled> + Sync,
+) -> Result<IdPairs, Cancelled> {
+    let per_feature: Vec<IdPairs> = each_feature(r1, threads, token, check, |f1| {
         let mut dists: Vec<(Rat, &str)> = r2
             .features()
             .iter()
@@ -106,66 +114,8 @@ pub fn k_nearest_par(
             .collect();
         dists.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
         dists.into_iter().take(k).map(|(_, id2)| (f1.id.clone(), id2.to_string())).collect()
-    });
-    per_feature.into_iter().flatten().collect()
-}
-
-/// Index-accelerated `k-Nearest`: expands a search radius geometrically
-/// through the R\*-tree filter until at least `k` candidates are *provably*
-/// within it, then refines exactly. Returns the same pairs as
-/// [`k_nearest`] (which the tests assert).
-pub fn k_nearest_indexed(r1: &SpatialRelation, r2: &SpatialRelation, k: usize) -> IdPairs {
-    if r2.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for f1 in r1.features() {
-        let (lo, hi) = f1.geom.bbox_f64();
-        // Initial radius: a guess from the world size and density.
-        let world = r2
-            .features()
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |acc, f| {
-                let (l, h) = f.geom.bbox_f64();
-                (acc.0.min(l[0]), acc.1.max(h[0]))
-            });
-        let mut radius = ((world.1 - world.0).abs() / (r2.len() as f64).sqrt()).max(1.0);
-        let candidates = loop {
-            let probe = Rect::new(
-                [lo[0] - radius, lo[1] - radius],
-                [hi[0] + radius, hi[1] + radius],
-            );
-            let (cands, _) = r2.candidates(&probe);
-            // Box distance lower-bounds true distance, so once k candidates
-            // have *exact* distance ≤ radius, nothing outside the probe can
-            // beat them.
-            if cands.len() >= k.min(r2.len()) {
-                let radius2 = Rat::from_decimal_str(&format!("{:.6}", radius))
-                    .unwrap_or_else(|_| Rat::from_int(radius as i64 + 1));
-                let r2rat = &radius2 * &radius2;
-                let close_enough = cands
-                    .iter()
-                    .filter(|&&i| f1.geom.dist2(&r2.get(i).geom) <= r2rat)
-                    .count();
-                if close_enough >= k.min(r2.len()) || cands.len() == r2.len() {
-                    break cands;
-                }
-            }
-            radius *= 2.0;
-        };
-        let mut dists: Vec<(Rat, &str)> = candidates
-            .into_iter()
-            .map(|i| {
-                let f2 = r2.get(i);
-                (f1.geom.dist2(&f2.geom), f2.id.as_str())
-            })
-            .collect();
-        dists.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-        for (_, id2) in dists.into_iter().take(k) {
-            out.push((f1.id.clone(), id2.to_string()));
-        }
-    }
-    out
+    })?;
+    Ok(per_feature.into_iter().flatten().collect())
 }
 
 /// A `Within-Distance` selection: features of `r` within distance `d` of a
@@ -203,6 +153,14 @@ mod tests {
             pt("c2", 0, 5),
             pt("c3", 10, 10),
         ])
+    }
+
+    fn buffer_join(r1: &SpatialRelation, r2: &SpatialRelation, d: &Rat) -> (IdPairs, u64) {
+        super::buffer_join(r1, r2, d, 1, None, || Ok(())).unwrap()
+    }
+
+    fn k_nearest(r1: &SpatialRelation, r2: &SpatialRelation, k: usize) -> IdPairs {
+        super::k_nearest(r1, r2, k, 1, None, || Ok(())).unwrap()
     }
 
     fn roads() -> SpatialRelation {
@@ -292,29 +250,6 @@ mod tests {
         let probes = SpatialRelation::from_features([pt("q", 0, 0)]);
         let targets = SpatialRelation::from_features([pt("a", 1, 0), pt("b", 2, 0)]);
         assert_eq!(k_nearest(&probes, &targets, 10).len(), 2);
-    }
-
-    #[test]
-    fn indexed_k_nearest_matches_exact() {
-        // A spread of points with clusters and ties.
-        let mut feats = Vec::new();
-        for i in 0..60i64 {
-            feats.push(pt(&format!("t{:02}", i), (i * 7) % 83, (i * 13) % 59));
-        }
-        let targets = SpatialRelation::from_features(feats);
-        let probes = SpatialRelation::from_features([
-            pt("a", 0, 0),
-            pt("b", 40, 30),
-            pt("c", 83, 59),
-        ]);
-        for k in [1usize, 3, 7, 60, 100] {
-            let exact = k_nearest(&probes, &targets, k);
-            let indexed = k_nearest_indexed(&probes, &targets, k);
-            assert_eq!(exact, indexed, "k = {}", k);
-        }
-        assert!(k_nearest_indexed(&probes, &targets, 0).is_empty());
-        let empty = SpatialRelation::new();
-        assert!(k_nearest_indexed(&probes, &empty, 3).is_empty());
     }
 
     #[test]

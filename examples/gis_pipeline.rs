@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p cqa --example gis_pipeline`
 
-use cqa::core::{exec, optimizer, Catalog};
+use cqa::core::{exec, optimizer, Catalog, ExecOptions, ExecStats};
 use cqa::core::plan::{CmpOp, Plan, Selection};
 use cqa::lang::db::{open_catalog, save_catalog};
 use cqa::lang::schema_def::parse_cdb;
@@ -32,7 +32,9 @@ spatial Parcels {
     let plan = Plan::spatial_scan("Parcels")
         .select(Selection::all().cmp_int("y", CmpOp::Ge, 10).cmp_int("y", CmpOp::Le, 28));
     let plan = optimizer::optimize(&plan, &catalog).unwrap();
-    let (band, trace) = exec::execute_traced(&plan, &catalog).unwrap();
+    let (band, trace) =
+        exec::execute_traced_opts(&plan, &catalog, &ExecOptions::default(), &ExecStats::new())
+            .unwrap();
     println!("Parcel pieces intersecting the survey band 10 <= y <= 28:");
     print!("{}", trace);
     print!("{}", band);

@@ -56,8 +56,11 @@ echo "golden Prometheus exposition matches"
 echo "== flight-recorder smoke: governor abort + panic both dump =="
 cargo run -q --release -p cqa-bench --bin obs_bench -- --flight-smoke 2>/dev/null | grep FLIGHT_SMOKE
 
-echo "== clippy (obs crate, -D warnings) =="
-cargo clippy -q -p cqa-obs -- -D warnings
+echo "== property suites: closure, optimizer equivalence, governor, per-crate props =="
+PROPTEST_CASES=64 cargo test -q --offline --workspace --features proptest
+
+echo "== clippy (workspace, -D warnings) =="
+cargo clippy -q --workspace -- -D warnings
 echo "clippy clean"
 
 echo "== verify OK =="

@@ -135,6 +135,41 @@ fn explain_analyze_reports_index_choice_and_headroom() {
 }
 
 #[test]
+fn trace_text_is_the_explain_analyze_tree() {
+    let cat = seeded_catalog(true);
+    let plan = Plan::scan("R").select(bounded_selection()).project(&["id"]);
+    let opts = ExecOptions::default();
+    let (_, trace) = exec::execute_traced_opts(&plan, &cat, &opts, &ExecStats::new()).unwrap();
+    // One renderer: `\trace` prints the annotated tree, and EXPLAIN
+    // ANALYZE is that tree plus the totals and governor footer.
+    let tree = trace.to_string();
+    let text = exec::render_explain_analyze(&trace, &opts);
+    assert!(text.starts_with(&tree), "{}\n---\n{}", tree, text);
+    assert!(text[tree.len()..].starts_with("totals:"), "{}", text);
+    assert!(tree.contains("selectivity"), "{}", tree);
+
+    // The `\trace json` keys, in order.
+    let keys = |json: &Json| match json {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("expected an object, got {:?}", other),
+    };
+    let json = trace.to_json();
+    assert_eq!(keys(&json), ["label", "rows", "elapsed_ns", "counters", "children"]);
+    assert_eq!(
+        keys(json.get("counters").expect("counters object")),
+        [
+            "filter_checked",
+            "filter_rejected",
+            "fm_peak_atoms",
+            "fm_calls",
+            "index_accesses",
+            "pairs_enumerated",
+            "dnf_conjunctions",
+        ]
+    );
+}
+
+#[test]
 fn runner_feeds_metrics_registry() {
     // Global registry state is process-wide; this test only asserts
     // *growth*, so concurrent tests in this binary can only help it.

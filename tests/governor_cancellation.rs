@@ -135,6 +135,76 @@ fn rearming_after_a_trip_recovers_fully() {
     assert_eq!(recovered, fresh);
 }
 
+/// Outer features of the spatial dataset: above the parallel executor's
+/// minimum item count, so multi-thread cells genuinely run chunked.
+const PROBES: u64 = 20;
+
+/// `PROBES` probe points on a line and a grid of sites around them.
+fn spatial_runner() -> ScriptRunner {
+    let mut src = String::from("spatial Probes {\n");
+    for i in 0..PROBES {
+        src.push_str(&format!("  feature \"q{:02}\" point ({}, 0);\n", i, 3 * i));
+    }
+    src.push_str("}\nspatial Sites {\n");
+    for i in 0..12 {
+        for j in 0..3 {
+            src.push_str(&format!("  feature \"s{:02}_{}\" point ({}, {});\n", i, j, 5 * i, 2 * j));
+        }
+    }
+    src.push_str("}\n");
+    let mut catalog = cqa::core::Catalog::new();
+    parse_cdb(&src).expect("static dataset").load_into(&mut catalog);
+    ScriptRunner::new(catalog)
+}
+
+/// Both whole-feature operators check the governor once per outer feature.
+const SPATIAL_QUERIES: [&str; 2] =
+    ["Out = bufferjoin Probes and Sites distance 4\n", "Out = knearest Probes and Sites k 3\n"];
+
+#[test]
+fn spatial_operators_obey_the_governor() {
+    for query in SPATIAL_QUERIES {
+        let serial = spatial_runner().run(query).expect("untripped run succeeds");
+        assert!(!serial.is_empty(), "{}: the query has output to lose", query);
+        for threads in [1usize, 2, 8] {
+            let mut r = spatial_runner();
+            let mut opts = r.exec_options().clone();
+            opts.threads = threads;
+            r.set_exec_options(opts.clone());
+            let out = r.run(query).expect("untripped run");
+            assert_eq!(out, serial, "{} threads={}", query, threads);
+
+            for trip_at in 1..=PROBES {
+                let mut r = spatial_runner();
+                let opts = opts.clone();
+                opts.governor.trip_after(trip_at);
+                r.set_exec_options(opts);
+                let before = snapshot(&r);
+                let err = r.run(query).expect_err("tripped run must fail");
+                assert!(
+                    err.to_string().contains("cancelled"),
+                    "{} threads={} trip={}: got {}",
+                    query,
+                    threads,
+                    trip_at,
+                    err
+                );
+                assert_eq!(snapshot(&r), before, "{} threads={} trip={}", query, threads, trip_at);
+                assert!(!r.catalog().contains("Out"));
+            }
+
+            let mut r = spatial_runner();
+            let mut timed = opts.clone();
+            timed.governor.timeout = Some(std::time::Duration::ZERO);
+            r.set_exec_options(timed);
+            let err = r.run(query).expect_err("a zero timeout must trip");
+            let msg = err.to_string();
+            assert!(msg.contains("deadline exceeded"), "{} threads={}: {}", query, threads, msg);
+            assert!(!r.catalog().contains("Out"));
+        }
+    }
+}
+
 /// Property form of the same contract: random trip points and thread
 /// counts. Compiled only with `--features proptest` (tier-1 stays lean).
 #[cfg(feature = "proptest")]
